@@ -16,12 +16,13 @@
 //!    mostly bounds the padding's instruction-path cost (see the
 //!    EXPERIMENTS.md §E12 caveat).
 //! 3. **fork-join** — the E6/E11 spawn tree on the work-stealing
-//!    scheduler, adding the tiered two-level deques
-//!    (`TieredListWorkDeque`/`TieredArrayWorkDeque`) next to the flat
-//!    adapters and the ABP baseline. The tiered arms keep the owner's
-//!    push/pop on a private ring and spill/refill the paper's deque in
-//!    chunk-atomic batches of 8, so the amortised DCAS cost per task
-//!    collapses; the acceptance bar is ≥ 10× the flat E11 dcas rows.
+//!    scheduler, adding the two-level `tiered-chaselev` deque next to
+//!    the flat adapters and the ABP baseline. It keeps the owner's
+//!    push/pop on a private Chase–Lev tier and spills/refills the
+//!    paper's list deque in chunk-atomic batches of 8, so the amortised
+//!    DCAS cost per task collapses; the acceptance bar is ≥ 10× the flat
+//!    E11 list-dcas row. (The spill-only ring arms `tiered-list-dcas` /
+//!    `tiered-array-dcas` in `BENCH_e12.json` are historical.)
 //!
 //! Runs as a plain binary (`harness = false`), prints a table, and —
 //! unless `E12_SMOKE` is set (the CI smoke mode, which shrinks every
@@ -31,7 +32,7 @@
 //! descriptor fallbacks) after phase 1.
 //!
 //! In both modes the binary enforces a generous perf guardrail: the
-//! tiered fork-join arms must stay above a small fraction of the ABP
+//! tiered fork-join arm must stay above a small fraction of the ABP
 //! baseline (catching "the fast path silently stopped engaging"
 //! regressions, not chasing exact ratios), exiting nonzero with a
 //! replay command otherwise — that is what CI's `perf-smoke` job runs.
@@ -43,16 +44,15 @@ use std::time::{Duration, Instant};
 use crossbeam_utils::CachePadded;
 use dcas::{DcasPair, DcasStrategy, HarrisMcas, SplitPair};
 use dcas_workstealing::{
-    AbpWorkDeque, ArrayWorkDeque, DynDeque, ListWorkDeque, Scheduler, TieredArrayWorkDeque,
-    TieredListWorkDeque, WorkDeque, WorkerHandle,
+    AbpWorkDeque, ArrayWorkDeque, DynDeque, ListWorkDeque, Scheduler, TieredChaseLevWorkDeque,
+    WorkDeque, WorkerHandle,
 };
 
-/// Flat dcas fork-join throughput recorded in BENCH_e11.json — the
-/// baseline the tiered arms must beat by 10×.
+/// Flat list-dcas fork-join throughput recorded in BENCH_e11.json — the
+/// baseline the tiered arm must beat by 10×.
 const E11_LIST_EPS: f64 = 134_562.0;
-const E11_ARRAY_EPS: f64 = 145_900.0;
 
-/// Guardrail floor: tiered dcas arms as a fraction of abp-cas. E11's
+/// Guardrail floor: the tiered arm as a fraction of abp-cas. E11's
 /// *flat* arms sat at 0.033×; anything below that means the two-level
 /// structure stopped working entirely.
 const GUARDRAIL_FLOOR: f64 = 0.02;
@@ -221,22 +221,15 @@ fn main() {
     // ---- Phase 3: fork-join, flat vs tiered deques ---------------------
     {
         let leaves = 1u64 << fj_depth;
-        let mut runs: [Vec<Duration>; 5] = Default::default();
+        let mut runs: [Vec<Duration>; 4] = Default::default();
         for _ in 0..repeats {
             runs[0].push(fork_join::<AbpWorkDeque>(fj_workers, fj_depth));
             runs[1].push(fork_join::<ListWorkDeque>(fj_workers, fj_depth));
             runs[2].push(fork_join::<ArrayWorkDeque>(fj_workers, fj_depth));
-            runs[3].push(fork_join::<TieredListWorkDeque>(fj_workers, fj_depth));
-            runs[4].push(fork_join::<TieredArrayWorkDeque>(fj_workers, fj_depth));
+            runs[3].push(fork_join::<TieredChaseLevWorkDeque>(fj_workers, fj_depth));
         }
         let base = median(runs[0].clone()).as_nanos();
-        let arms = [
-            "abp-cas",
-            "list-dcas",
-            "array-dcas",
-            "tiered-list-dcas",
-            "tiered-array-dcas",
-        ];
+        let arms = ["abp-cas", "list-dcas", "array-dcas", "tiered-chaselev"];
         for (arm, r) in arms.iter().zip(runs.iter()) {
             let nanos = median(r.clone()).as_nanos();
             results.push(Measurement {
@@ -266,22 +259,19 @@ fn main() {
         );
     }
 
-    // Full-mode progress report against the E11 flat baselines (the
+    let tiered = results.iter().find(|m| m.arm == "tiered-chaselev").unwrap().elems_per_sec();
+
+    // Full-mode progress report against the E11 flat baseline (the
     // smoke workload is too small for the numbers to mean anything).
     if !smoke {
-        for (arm, e11) in
-            [("tiered-list-dcas", E11_LIST_EPS), ("tiered-array-dcas", E11_ARRAY_EPS)]
-        {
-            let m = results.iter().find(|m| m.arm == arm).unwrap();
-            println!(
-                "{arm}: {:.0} elems/s = {:.1}x the flat E11 row ({e11:.0})",
-                m.elems_per_sec(),
-                m.elems_per_sec() / e11
-            );
-        }
+        println!(
+            "tiered-chaselev: {tiered:.0} elems/s = {:.1}x the flat E11 list-dcas row \
+             ({E11_LIST_EPS:.0})",
+            tiered / E11_LIST_EPS
+        );
     }
 
-    // Perf guardrail (both modes): the tiered arms must hold a generous
+    // Perf guardrail (both modes): the tiered arm must hold a generous
     // floor relative to abp-cas. This is the check CI's perf-smoke job
     // relies on.
     let abp = results
@@ -289,18 +279,14 @@ fn main() {
         .find(|m| m.phase == "fork-join" && m.arm == "abp-cas")
         .unwrap()
         .elems_per_sec();
-    let mut guardrail_ok = true;
-    for arm in ["tiered-list-dcas", "tiered-array-dcas"] {
-        let m = results.iter().find(|m| m.arm == arm).unwrap();
-        let ratio = m.elems_per_sec() / abp;
-        if ratio < GUARDRAIL_FLOOR {
-            guardrail_ok = false;
-            eprintln!(
-                "PERF GUARDRAIL FAILED: fork-join/{arm} at {ratio:.4}x of abp-cas \
-                 (floor {GUARDRAIL_FLOOR}); replay with:\n  \
-                 E12_SMOKE=1 cargo bench -p dcas-bench --bench e12_hw_pair --features stats"
-            );
-        }
+    let ratio = tiered / abp;
+    let guardrail_ok = ratio >= GUARDRAIL_FLOOR;
+    if !guardrail_ok {
+        eprintln!(
+            "PERF GUARDRAIL FAILED: fork-join/tiered-chaselev at {ratio:.4}x of abp-cas \
+             (floor {GUARDRAIL_FLOOR}); replay with:\n  \
+             E12_SMOKE=1 cargo bench -p dcas-bench --bench e12_hw_pair --features stats"
+        );
     }
 
     if smoke {

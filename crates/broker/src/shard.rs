@@ -8,19 +8,18 @@
 //!   number of producers and consumers may touch it concurrently;
 //!   produce lands at the right end in chunk-atomic batches and consume
 //!   drains the left end, so each shard serves FIFO.
-//! * [`TieredShard`] wraps the two-level
-//!   [`TieredDeque`](dcas_workstealing::TieredDeque) with the stealable
-//!   Chase–Lev private tier. Its push side is **single-owner** (the
-//!   tier's safety contract), so the broker binds at most one producer
-//!   to it ([`BrokerShard::PRODUCER_EXCLUSIVE`]); consumers go through
-//!   the thief-safe steal path and the owner's buffered work is
-//!   published by the death-flush on producer drop.
+//! * [`TieredShard`] wraps the two-level [`TieredDeque`]: a Chase–Lev
+//!   private tier over the paper's list deque. Its push side is
+//!   **single-owner** (the tier's safety contract), so the broker binds
+//!   at most one producer to it ([`BrokerShard::PRODUCER_EXCLUSIVE`]);
+//!   consumers go through the thief-safe steal path and the owner's
+//!   buffered work is published by the death-flush on producer drop.
 //!
 //! [`ShardedBroker`]: crate::ShardedBroker
 
 use dcas::HarrisMcas;
-use dcas_deque::{ConcurrentDeque, ListDeque, MAX_BATCH};
-use dcas_workstealing::{ChaseLevTier, TieredDeque};
+use dcas_deque::{ConcurrentDeque, ListDeque};
+use dcas_workstealing::TieredDeque;
 
 /// One shard of a [`ShardedBroker`](crate::ShardedBroker).
 ///
@@ -122,8 +121,8 @@ impl<T: Send, D: ConcurrentDeque<T>> BrokerShard<T> for FlatShard<D> {
     }
 }
 
-/// The two-level tiered deque (stealable Chase–Lev private tier over
-/// the paper's unbounded list deque) as a broker shard.
+/// The two-level tiered deque (Chase–Lev private tier over the paper's
+/// unbounded list deque) as a broker shard.
 ///
 /// The bound producer owns the push side: its values land in the
 /// Chase–Lev tier at a release fence apiece and spill to the shared
@@ -131,14 +130,12 @@ impl<T: Send, D: ConcurrentDeque<T>> BrokerShard<T> for FlatShard<D> {
 /// empty. Consumers take through the thief-safe path (shared level
 /// first, then the tier's top), so every inter-thread transfer is
 /// either linearizable-deque traffic or a Chase–Lev steal.
-pub struct TieredShard<T: Send>(
-    pub TieredDeque<T, ListDeque<T, HarrisMcas>, ChaseLevTier<T>>,
-);
+pub struct TieredShard<T: Send>(pub TieredDeque<T, ListDeque<T, HarrisMcas>>);
 
 impl<T: Send> TieredShard<T> {
     /// An empty tiered shard.
     pub fn new() -> Self {
-        TieredShard(TieredDeque::with_tier(ListDeque::new()))
+        TieredShard(TieredDeque::new(ListDeque::new()))
     }
 }
 
@@ -171,9 +168,7 @@ impl<T: Send> BrokerShard<T> for TieredShard<T> {
     }
 
     fn consume_batch(&self, max: usize) -> Vec<T> {
-        let mut out = self.0.steal_half();
-        out.truncate(max.clamp(1, MAX_BATCH));
-        out
+        self.0.steal_half(max)
     }
 
     fn requeue_front(&self, v: T) -> Result<(), T> {

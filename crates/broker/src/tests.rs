@@ -243,6 +243,28 @@ fn panicking_shard_is_retired_in_flight() {
 }
 
 #[test]
+fn tiered_consume_batch_smaller_than_a_steal_loses_nothing() {
+    // 64 values published by the death-flush sit in the shared level
+    // oldest-first; draining them one at a time must return every one
+    // in order, not just the head of each internal steal batch.
+    let shard = TieredShard::new();
+    for v in 0..64u64 {
+        shard.produce_one(v).unwrap();
+    }
+    assert!(shard.flush_local().is_empty(), "unbounded shared level rejected values");
+    let mut got = Vec::new();
+    loop {
+        let batch = shard.consume_batch(1);
+        assert!(batch.len() <= 1, "consume_batch(1) returned {} values", batch.len());
+        if batch.is_empty() {
+            break;
+        }
+        got.extend(batch);
+    }
+    assert_eq!(got, (0..64u64).collect::<Vec<_>>());
+}
+
+#[test]
 fn tiered_exclusive_binds_one_producer_per_shard() {
     let broker: Arc<ShardedBroker<u64, TieredShard<u64>>> =
         Arc::new(ShardedBroker::tiered_chaselev(2));

@@ -296,9 +296,8 @@ impl<T> ChaseLev<T> {
             Box::into_raw(new)
         };
         self.buf.store(new, Release);
-        // SAFETY: `retired` is owner-private (like the ring of the
-        // VecDeque tier); reconstitute the old buffer's box so drop
-        // frees it with the deque.
+        // SAFETY: `retired` is owner-private; reconstitute the old
+        // buffer's box so drop frees it with the deque.
         unsafe { (*self.retired.get()).push(Box::from_raw(old)) };
         new
     }

@@ -15,15 +15,12 @@
 //! * the CAS-only [`AbpDeque`](dcas_baselines::AbpDeque) baseline
 //!   (designed for exactly this pattern),
 //! * the lock-based [`MutexDeque`](dcas_baselines::MutexDeque), and
-//! * owner-biased two-level wrappers ([`TieredListWorkDeque`],
-//!   [`TieredArrayWorkDeque`]) that keep the owner's push/pop on a
-//!   private ring and move work to/from the paper's deques in
-//!   chunk-atomic batches, so thieves still steal through the
-//!   linearizable structure, and
-//! * [`TieredChaseLevWorkDeque`], the same two-level shape with a
-//!   growable [`ChaseLev`] deque as the private tier, so thieves can
-//!   also steal the owner's top directly instead of waiting for a
-//!   spill.
+//! * [`TieredChaseLevWorkDeque`], an owner-biased two-level
+//!   [`TieredDeque`]: the owner's push/pop run on a growable
+//!   [`ChaseLev`] private tier whose top thieves can steal directly,
+//!   over the paper's list deque as the shared level, which the owner
+//!   restocks in chunk-atomic batches so thieves prefer stealing
+//!   through the linearizable structure.
 //!
 //! The scheduler is a real fork-join executor: tasks may
 //! [`spawn`](WorkerHandle::spawn) further tasks,
@@ -75,9 +72,8 @@ mod scheduler;
 
 pub use chaselev::{ChaseLev, Steal as ChaseLevSteal};
 pub use deques::{
-    AbpWorkDeque, ArrayWorkDeque, ChaseLevTier, ListWorkDeque, MutexWorkDeque, PrivateTier,
-    StealOutcome, SundellWorkDeque, TieredArrayWorkDeque, TieredChaseLevWorkDeque, TieredDeque,
-    TieredListWorkDeque, VecRing, WorkDeque, RING_CAP,
+    AbpWorkDeque, ArrayWorkDeque, ListWorkDeque, MutexWorkDeque, StealOutcome, SundellWorkDeque,
+    TieredChaseLevWorkDeque, TieredDeque, WorkDeque, RING_CAP,
 };
 pub use scheduler::{
     Continuation, DynDeque, RunReport, SchedStats, Scheduler, Task, WorkerHandle,

@@ -221,7 +221,7 @@ pub struct Scheduler<D: WorkDeque> {
 /// without the feature pay no cost in the worker loop. The two steal
 /// **provenance** counters are read from the deques themselves
 /// ([`WorkDeque::tier_steals`]) after the run and are live whenever the
-/// deque maintains them (the tiered deques always do; flat deques
+/// deque maintains them (the tiered deque always does; flat deques
 /// report zero).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SchedStats {
@@ -237,8 +237,8 @@ pub struct SchedStats {
     pub steal_misses: u64,
     /// Tasks executed inline because the worker's bounded deque was full.
     pub overflow_inline: u64,
-    /// Tasks thieves took directly from owners' private tiers (only a
-    /// stealable tier — the Chase–Lev one — can be nonzero here).
+    /// Tasks thieves took directly from owners' Chase–Lev private
+    /// tiers.
     pub steals_private_tier: u64,
     /// Tasks thieves took from the shared linearizable level of tiered
     /// deques.
@@ -641,8 +641,8 @@ fn worker_loop<D: WorkDeque>(id: usize, shared: Arc<Shared<D>>) {
     }
 }
 
-/// Publishes a dying worker's privately buffered tasks (two-level
-/// deques' tiers, plus any mid-spill staged chunk) so survivors can
+/// Publishes a dying worker's privately buffered tasks (a two-level
+/// deque's tier, plus any mid-spill staged chunk) so survivors can
 /// steal them — otherwise `pending` never reaches zero and the other
 /// workers spin forever. Tasks the shared level rejects (bounded and
 /// full) are in nobody's deque, so even a poisoned worker must run them
@@ -696,8 +696,7 @@ mod tests {
     use super::*;
     use crate::deques::{
         AbpWorkDeque, ArrayWorkDeque, ListWorkDeque, MutexWorkDeque, SundellWorkDeque,
-        TieredArrayWorkDeque,
-        TieredListWorkDeque,
+        TieredChaseLevWorkDeque,
     };
     use std::sync::atomic::AtomicU64;
 
@@ -751,12 +750,7 @@ mod tests {
 
     #[test]
     fn tiered_list_deque_tree() {
-        assert_eq!(tree_count::<TieredListWorkDeque>(4, 12), 1 << 12);
-    }
-
-    #[test]
-    fn tiered_array_deque_tree() {
-        assert_eq!(tree_count::<TieredArrayWorkDeque>(4, 12), 1 << 12);
+        assert_eq!(tree_count::<TieredChaseLevWorkDeque>(4, 12), 1 << 12);
     }
 
     #[test]
@@ -766,29 +760,17 @@ mod tests {
 
     #[test]
     fn tiered_single_worker_runs_everything() {
-        assert_eq!(tree_count::<TieredListWorkDeque>(1, 10), 1 << 10);
-    }
-
-    #[test]
-    fn tiered_tiny_bounded_shared_level_overflows_inline() {
-        // A capacity-2 shared level forces both the spill-rejection path
-        // in `TieredDeque::push` and the scheduler's inline-overflow
-        // path; every leaf must still be counted exactly once.
-        let leaves = Arc::new(AtomicU64::new(0));
-        let sched: Scheduler<TieredArrayWorkDeque> = Scheduler::with_capacity(3, 2);
-        let l = leaves.clone();
-        sched.run(move |w| spawn_tree(w, 10, l));
-        assert_eq!(leaves.load(Ordering::SeqCst), 1 << 10);
+        assert_eq!(tree_count::<TieredChaseLevWorkDeque>(1, 10), 1 << 10);
     }
 
     #[test]
     fn tiered_worker_death_publishes_ring() {
-        // Worker poisoning must not strand ring-buffered tasks: one task
-        // panics after forking a deep tree; the run still terminates and
-        // counts every remaining leaf. (Without the death-flush this
-        // hangs: `pending` can never reach zero.)
+        // Worker poisoning must not strand tasks in the private tier:
+        // one task panics after forking a deep tree; the death-flush
+        // publishes the dead worker's tier, and the run still
+        // terminates and counts every remaining leaf.
         let leaves = Arc::new(AtomicU64::new(0));
-        let sched: Scheduler<TieredListWorkDeque> = Scheduler::new(3);
+        let sched: Scheduler<TieredChaseLevWorkDeque> = Scheduler::new(3);
         let l = leaves.clone();
         let report = sched.run_report(move |w| {
             for _ in 0..4 {

@@ -1,30 +1,23 @@
 //! Edge-case tests for [`TieredDeque`]: the seams between the private
 //! tier, the staging buffer, and the shared linearizable level.
 //!
-//! The interesting states all live at tier boundaries — a ring exactly
+//! The interesting states all live at tier boundaries — a tier exactly
 //! at its spill threshold, a refill racing a thief, an empty tier
 //! falling through to the shared level — and a property test checks the
 //! whole single-owner surface against a sequential `VecDeque` oracle.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
 use dcas_baselines::MutexDeque;
 use dcas_deque::{ConcurrentDeque, ListDeque, MAX_BATCH};
-use dcas_workstealing::{ChaseLevTier, TieredDeque, RING_CAP};
+use dcas_workstealing::{TieredDeque, RING_CAP};
 use proptest::prelude::*;
 
-type Shared = ListDeque<u64>;
-type VecTiered = TieredDeque<u64, Shared>;
-type ClTiered = TieredDeque<u64, Shared, ChaseLevTier<u64>>;
-
-fn vec_tiered() -> VecTiered {
-    TieredDeque::new(ListDeque::new())
-}
+type ClTiered = TieredDeque<u64, ListDeque<u64>>;
 
 fn cl_tiered() -> ClTiered {
-    TieredDeque::with_tier(ListDeque::new())
+    TieredDeque::new(ListDeque::new())
 }
 
 // ---------------------------------------------------------------------
@@ -36,7 +29,7 @@ fn empty_tier_pop_falls_through_to_shared() {
     // Work sitting only in the shared level (as after a cross-worker
     // steal_half re-queue... or here, planted directly) must be
     // reachable through `pop` via the refill path.
-    let d = vec_tiered();
+    let d = cl_tiered();
     for v in 0..10u64 {
         d.shared().push_right(v).unwrap();
     }
@@ -53,10 +46,10 @@ fn empty_tier_pop_falls_through_to_shared() {
 
 #[test]
 fn capacity_boundary_spill_preserves_oldest_first() {
-    // Pushing one past RING_CAP must spill exactly one MAX_BATCH chunk
-    // of the *oldest* values to the shared level, leaving the newest in
-    // the ring.
-    let d = vec_tiered();
+    // Pushing one past RING_CAP onto an empty shared level must spill
+    // exactly one MAX_BATCH chunk of the *oldest* values to it, leaving
+    // the newest in the private tier.
+    let d = cl_tiered();
     for v in 0..(RING_CAP as u64 + 1) {
         d.push(v).unwrap();
     }
@@ -84,51 +77,36 @@ fn chaselev_tier_steal_without_spill() {
 }
 
 #[test]
-fn vecring_tier_is_not_stealable() {
-    let d = vec_tiered();
-    for v in 0..4u64 {
-        d.push(v).unwrap();
-    }
-    assert_eq!(d.steal(), None, "ring-only work is invisible to thieves");
-    // flush_local publishes the ring to the shared level (returning only
-    // rejects — none on an unbounded shared); then thieves can see it.
-    assert!(d.flush_local().is_empty());
-    assert_eq!(d.steal(), Some(0));
-}
-
-#[test]
 fn steal_half_prefers_shared_then_private() {
     let d = cl_tiered();
     let n = (RING_CAP + MAX_BATCH) as u64;
     for v in 0..n {
         d.push(v).unwrap();
     }
-    // At least one chunk spilled; the first steal_half must come from
-    // the shared level (oldest work), later ones from the private tier.
-    let first = d.steal_half();
-    assert!(!first.is_empty());
-    assert_eq!(first[0], 0, "shared level holds the oldest value");
-    let mut seen: HashSet<u64> = first.into_iter().collect();
-    loop {
-        let batch = d.steal_half();
+    // The first spill put the oldest chunk in the shared level; the rest
+    // sits in the private tier. Steals drain the shared level first, then
+    // the tier, oldest-first on both. Each call's bound holds on either
+    // level, and nothing taken is dropped: every steal continues where
+    // the last one stopped.
+    let mut got = Vec::new();
+    for max in [MAX_BATCH, 1, 2].into_iter().cycle() {
+        let batch = d.steal_half(max);
+        assert!(batch.len() <= max, "steal_half({max}) returned {}", batch.len());
         if batch.is_empty() {
             break;
         }
-        for v in batch {
-            assert!(seen.insert(v), "value {v} delivered twice");
-        }
+        got.extend(batch);
     }
+    assert_eq!(got, (0..n).collect::<Vec<_>>(), "every value stolen once, oldest first");
     let (private, shared) = d.tier_steals();
-    assert!(private > 0, "some steals must hit the private tier");
-    assert!(shared > 0, "some steals must hit the shared level");
-    assert_eq!(private + shared, seen.len() as u64);
-    assert_eq!(seen.len() as u64, n, "every value stolen exactly once");
+    assert_eq!(shared, MAX_BATCH as u64, "exactly the spilled chunk comes from the shared level");
+    assert_eq!(private, n - MAX_BATCH as u64);
 }
 
 #[test]
 fn steal_races_inflight_refill_conserves_values() {
     // One owner cycles values through push/pop (triggering spills and
-    // refills at the ring boundary) while a thief steals continuously.
+    // refills at the tier boundary) while a thief steals continuously.
     // Every value must come out exactly once, across both exits.
     for trial in 0..20u64 {
         let d = cl_tiered();
@@ -159,7 +137,7 @@ fn steal_races_inflight_refill_conserves_values() {
                 let mut got = Vec::new();
                 start.wait();
                 while !stop.load(Ordering::Acquire) {
-                    got.extend(d.steal_half());
+                    got.extend(d.steal_half(MAX_BATCH));
                 }
                 got
             });
@@ -170,7 +148,7 @@ fn steal_races_inflight_refill_conserves_values() {
         // may have re-ordered the race).
         let mut rest = d.flush_local();
         loop {
-            let batch = d.steal_half();
+            let batch = d.steal_half(MAX_BATCH);
             if batch.is_empty() {
                 break;
             }
@@ -214,10 +192,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn run_against_oracle<P>(d: &TieredDeque<u64, MutexDeque<u64>, P>, ops: &[Op])
-where
-    P: dcas_workstealing::PrivateTier<u64>,
-{
+fn run_against_oracle(d: &TieredDeque<u64, MutexDeque<u64>>, ops: &[Op]) {
     let mut oracle: Vec<u64> = Vec::new();
     for op in ops {
         match op {
@@ -251,19 +226,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn vecring_matches_sequential_oracle(
-        ops in proptest::collection::vec(op_strategy(), 1..400)
-    ) {
-        let d: TieredDeque<u64, MutexDeque<u64>> = TieredDeque::new(MutexDeque::new());
-        run_against_oracle(&d, &ops);
-    }
-
-    #[test]
     fn chaselev_tier_matches_sequential_oracle(
         ops in proptest::collection::vec(op_strategy(), 1..400)
     ) {
-        let d: TieredDeque<u64, MutexDeque<u64>, ChaseLevTier<u64>> =
-            TieredDeque::with_tier(MutexDeque::new());
+        let d = TieredDeque::new(MutexDeque::new());
         run_against_oracle(&d, &ops);
     }
 }

@@ -14,7 +14,7 @@
 //! 4. the hardware pair-DCAS fast path: a `DcasPair` workload plus one
 //!    deliberately non-adjacent DCAS, surfacing `pair_hit_rate`,
 //! 5. work-stealing scheduler counters from small fork-join runs on the
-//!    flat and the two-level tiered deque,
+//!    flat and the two-level Chase-Lev tiered deque,
 //! 6. reclamation gauges: live/high-water garbage per backend (epoch vs
 //!    hazard pointers), the hazard backend's static garbage bound, and
 //!    the epoch shim's stalled-collection diagnostic. These are
@@ -26,9 +26,7 @@ use std::sync::Arc;
 use dcas_deques::deque::{ArrayDeque, ConcurrentDeque};
 use dcas_deques::linearize::SeqDeque;
 use dcas_deques::obs::{audit, Json, MetricsRegistry, Recorded};
-use dcas_deques::workstealing::{
-    ArrayWorkDeque, Scheduler, TieredArrayWorkDeque, TieredChaseLevWorkDeque,
-};
+use dcas_deques::workstealing::{ArrayWorkDeque, Scheduler, TieredChaseLevWorkDeque};
 
 const THREADS: usize = 4;
 const OPS_PER_THREAD: usize = 5_000;
@@ -342,22 +340,11 @@ fn scheduler_section(reg: &mut MetricsRegistry) {
     assert_eq!(total.load(Ordering::SeqCst), N * (N - 1) / 2);
     reg.sched_stats("scheduler", &report.stats);
 
-    // The same run on the two-level tiered deque: owner traffic stays on
-    // the private ring, so `tasks_executed` matches but steals move only
-    // the batches that actually spilled to the shared level.
-    let total = Arc::new(AtomicU64::new(0));
-    let scheduler = Scheduler::<TieredArrayWorkDeque>::new(THREADS);
-    let t2 = Arc::clone(&total);
-    let report = scheduler.run_report(move |h| sum_range(h, 0, N, t2));
-    assert_eq!(total.load(Ordering::SeqCst), N * (N - 1) / 2);
-    reg.sched_stats("scheduler_tiered", &report.stats);
-
-    // And on the Chase-Lev private tier: thieves can take from the
-    // owner's tier directly, so the steal-provenance split
-    // (`steals_private_tier` vs `steals_shared_tier`) inverts relative
-    // to the spill-only ring above — the ring reports private-tier
-    // steals of zero, while here most steals land on the private tier
-    // because demand-driven spilling keeps the shared level near-empty.
+    // The same run on the two-level tiered deque: thieves can take from
+    // the owner's Chase-Lev tier directly, and the steal-provenance
+    // split (`steals_private_tier` vs `steals_shared_tier`) shows most
+    // steals landing there, because demand-driven spilling keeps the
+    // shared level near-empty.
     let total = Arc::new(AtomicU64::new(0));
     let scheduler = Scheduler::<TieredChaseLevWorkDeque>::new(THREADS);
     let t2 = Arc::clone(&total);

@@ -593,15 +593,23 @@ fn workstealing_scheduler_survives_dead_workers() {
 /// death-flush (`flush_local`, what the scheduler's `abandon` runs on a
 /// poisoned worker) must publish the partial chunk, and conservation
 /// must be exact to the element.
-fn tiered_mid_spill_run<P>(label: &str, seed: u64, with_thief: bool, skip_spills: u64)
-where
-    P: dcas_deques::workstealing::PrivateTier<Counted>,
-{
+///
+/// A live thief steals from both levels while the owner dies mid-spill:
+/// the staged chunk is invisible to the thief (owner private), so the
+/// flush must still deliver it. The kill lands on the *first* spill —
+/// the tier only restocks an empty shared level, so later spills depend
+/// on thief timing, but the first fires as soon as the tier passes
+/// `RING_CAP` (the shared level starts empty).
+#[test]
+fn tiered_chaselev_mid_spill_kill_conserves_values() {
+    use dcas_deques::deque::MAX_BATCH;
     use dcas_deques::workstealing::{TieredDeque, RING_CAP};
 
+    let label = "tiered_chaselev_mid_spill_kill_conserves_values";
+    let seed = torture_seed(label);
     let live = Arc::new(AtomicI64::new(0));
-    let deque: Arc<TieredDeque<Counted, ListDeque<Counted>, P>> =
-        Arc::new(TieredDeque::with_tier(ListDeque::new()));
+    let deque: Arc<TieredDeque<Counted, ListDeque<Counted>>> =
+        Arc::new(TieredDeque::new(ListDeque::new()));
     let watchdog = Watchdog::arm(label, seed, Duration::from_secs(120));
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -609,14 +617,14 @@ where
     let stolen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
 
     std::thread::scope(|s| {
-        if with_thief {
+        {
             let deque = Arc::clone(&deque);
             let stop = Arc::clone(&stop);
             let stolen = Arc::clone(&stolen);
             s.spawn(move || {
                 let mut haul = Vec::new();
                 while !stop.load(Ordering::Acquire) {
-                    for c in deque.steal_half() {
+                    for c in deque.steal_half(MAX_BATCH) {
                         haul.push(c.v);
                     }
                     std::hint::spin_loop();
@@ -625,15 +633,13 @@ where
             });
         }
 
-        // Owner: armed to die inside a spill's staging window after
-        // surviving `skip_spills` earlier spills.
+        // Owner: armed to die inside the first spill's staging window.
         let deque2 = Arc::clone(&deque);
         let live2 = Arc::clone(&live);
         let pushed2 = Arc::clone(&pushed);
         let stop2 = Arc::clone(&stop);
         s.spawn(move || {
-            let plan =
-                FaultPlan::new(seed).kill(FaultPoint::SpillStaged, skip_spills, KillKind::Panic);
+            let plan = FaultPlan::new(seed).kill(FaultPoint::SpillStaged, 0, KillKind::Panic);
             let guard = fault::arm(&plan, 0);
             let log = guard.log();
             let mut my_pushed = Vec::new();
@@ -684,37 +690,32 @@ where
     watchdog.disarm();
 }
 
-#[test]
-fn tiered_vecring_mid_spill_kill_conserves_values() {
-    use dcas_deques::workstealing::VecRing;
-    let test = "tiered_vecring_mid_spill_kill_conserves_values";
-    let seed = torture_seed(test);
-    // Survive two spills, die inside the third: deterministic for a
-    // VecRing tier, which spills on every ring overflow.
-    tiered_mid_spill_run::<VecRing<Counted>>(test, seed, false, 2);
-}
-
-#[test]
-fn tiered_chaselev_mid_spill_kill_conserves_values() {
-    use dcas_deques::workstealing::ChaseLevTier;
-    let test = "tiered_chaselev_mid_spill_kill_conserves_values";
-    let seed = torture_seed(test);
-    // A live thief steals from both levels while the owner dies
-    // mid-spill: the staged chunk is invisible to the thief (owner
-    // private), so the flush must still deliver it. Kill on the *first*
-    // spill — the stealable tier only restocks an empty shared level,
-    // so later spills depend on thief timing, but the first (shared
-    // level starts empty) always fires.
-    tiered_mid_spill_run::<ChaseLevTier<Counted>>(test, seed, true, 0);
-}
-
 /// The same window under the real scheduler: a worker dies *inside* a
 /// spill (tasks parked in the staging buffer), and the poisoned-worker
 /// death-flush must hand every already-spawned task to the survivors.
+///
+/// The kill is made deterministic even though thieves can steal the
+/// private tier: every spawned task waits until the root task has ended
+/// (returned or unwound), so each thief takes at most one `steal_half`
+/// batch from the root before it blocks in that batch's first task. The
+/// root's tier therefore passes [`RING_CAP`] by spawn `RING_CAP + 1 +
+/// (WORKERS - 1) * MAX_BATCH` at the latest, and the first spill —
+/// which always finds the shared level empty — fires and is killed.
 #[test]
 fn tiered_scheduler_survives_mid_spill_kill() {
-    use dcas_deques::workstealing::{Scheduler, TieredListWorkDeque};
+    use dcas_deques::deque::MAX_BATCH;
+    use dcas_deques::workstealing::{Scheduler, TieredChaseLevWorkDeque, RING_CAP};
 
+    /// Sets its flag when dropped, including during a panic's unwind.
+    struct SetOnDrop(Arc<AtomicBool>);
+    impl Drop for SetOnDrop {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+
+    const WORKERS: usize = 4;
+    let latest_kill = (RING_CAP + 1 + (WORKERS - 1) * MAX_BATCH) as u64;
     let test = "tiered_scheduler_survives_mid_spill_kill";
     let base = torture_seed(test);
     let watchdog = Watchdog::arm(test, base, Duration::from_secs(120));
@@ -724,15 +725,14 @@ fn tiered_scheduler_survives_mid_spill_kill() {
         splitmix64(&mut seed);
         let attempted = Arc::new(AtomicU64::new(0));
         let completed = Arc::new(AtomicU64::new(0));
-        let sched: Scheduler<TieredListWorkDeque> = Scheduler::new(4);
-        let (a, c) = (Arc::clone(&attempted), Arc::clone(&completed));
+        let root_done = Arc::new(AtomicBool::new(false));
+        let sched: Scheduler<TieredChaseLevWorkDeque> = Scheduler::new(WORKERS);
+        let (a, c, done) = (Arc::clone(&attempted), Arc::clone(&completed), Arc::clone(&root_done));
         let report = sched.run_report(move |w| {
+            let _root_done = SetOnDrop(Arc::clone(&done));
             // Arm on this worker's thread and leak the guard so the plan
-            // outlives the root task. With a VecRing tier the 33rd spawn
-            // deterministically overflows the ring (thieves cannot touch
-            // the private tier before the first spill), so the kill
-            // always lands.
-            let plan = FaultPlan::new(seed).kill(FaultPoint::SpillStaged, 1, KillKind::Panic);
+            // outlives the root task. Kill inside the first spill.
+            let plan = FaultPlan::new(seed).kill(FaultPoint::SpillStaged, 0, KillKind::Panic);
             std::mem::forget(fault::arm(&plan, 0));
             for _ in 0..4_000u64 {
                 // Counted before the spawn: the task enters the private
@@ -740,7 +740,11 @@ fn tiered_scheduler_survives_mid_spill_kill() {
                 // attempt must eventually execute.
                 a.fetch_add(1, Ordering::Relaxed);
                 let c = Arc::clone(&c);
+                let done = Arc::clone(&done);
                 w.spawn(move |_| {
+                    while !done.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
                     c.fetch_add(1, Ordering::Relaxed);
                 });
             }
@@ -752,6 +756,7 @@ fn tiered_scheduler_survives_mid_spill_kill() {
         let c = completed.load(Ordering::SeqCst);
         assert!(a >= 33, "round {round}: kill fired before the first spill?");
         assert!(a < 4_000, "round {round}: kill never fired");
+        assert!(a <= latest_kill, "round {round}: first spill came late (spawn {a})");
         assert_eq!(c, a, "round {round}: spawned tasks lost in the staging window");
     }
     watchdog.disarm();
