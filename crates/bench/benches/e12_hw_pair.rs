@@ -1,21 +1,17 @@
-//! E12 — hardware pair DCAS, padding ablation, and the two-level
-//! owner-biased scheduler deque (the PR-5 throughput levers).
+//! E12 — padding ablation and the two-level owner-biased scheduler
+//! deque.
 //!
-//! Three phases:
+//! Two phases (a third, pair-dcas, priced a hardware 128-bit pair CAS
+//! against the descriptor protocol; it was retired with that hardware
+//! route, and its rows in `BENCH_e12.json` are historical):
 //!
-//! 1. **pair-dcas** — single thread transferring value between two
-//!    adjacent words on one cache line through `HarrisMcas::dcas`: a
-//!    [`SplitPair`], which straddles a 16-byte slot boundary and so
-//!    takes the full descriptor protocol (RDCSS installs, helping,
-//!    epoch-managed release), vs the two halves of a [`DcasPair`] (one
-//!    `cmpxchg16b`). The acceptance bar is hw-pair ≥ 3× descriptor.
-//! 2. **padding** — each of 4 threads hammering its *own* `AtomicU64`,
+//! 1. **padding** — each of 4 threads hammering its *own* `AtomicU64`,
 //!    with the counters packed into one cache line vs `CachePadded`
 //!    apart. On a multi-core host this isolates false sharing; in this
 //!    single-CPU container threads never run concurrently, so the arm
 //!    mostly bounds the padding's instruction-path cost (see the
 //!    EXPERIMENTS.md §E12 caveat).
-//! 3. **fork-join** — the E6/E11 spawn tree on the work-stealing
+//! 2. **fork-join** — the E6/E11 spawn tree on the work-stealing
 //!    scheduler, adding the two-level `tiered-chaselev` deque next to
 //!    the flat adapters and the ABP baseline. It keeps the owner's
 //!    push/pop on a private Chase–Lev tier and spills/refills the
@@ -27,9 +23,7 @@
 //! Runs as a plain binary (`harness = false`), prints a table, and —
 //! unless `E12_SMOKE` is set (the CI smoke mode, which shrinks every
 //! phase and skips the file write) — records the measurements in
-//! `BENCH_e12.json` at the workspace root. Build with `--features
-//! stats` to print the `dcas::stats` counter lines (pair hits vs
-//! descriptor fallbacks) after phase 1.
+//! `BENCH_e12.json` at the workspace root.
 //!
 //! In both modes the binary enforces a generous perf guardrail: the
 //! tiered fork-join arm must stay above a small fraction of the ABP
@@ -42,7 +36,6 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use crossbeam_utils::CachePadded;
-use dcas::{DcasPair, DcasStrategy, HarrisMcas, SplitPair};
 use dcas_workstealing::{
     AbpWorkDeque, ArrayWorkDeque, DynDeque, ListWorkDeque, Scheduler, TieredChaseLevWorkDeque,
     WorkDeque, WorkerHandle,
@@ -77,29 +70,7 @@ fn median(mut runs: Vec<Duration>) -> Duration {
     runs[runs.len() / 2]
 }
 
-/// Phase 1 driver: `iters` successful two-word transfers between two
-/// adjacent words (lo -= 4, hi += 4; payloads keep the reserved low
-/// bits clear) — one pair slot when `paired`, straddling a slot
-/// boundary otherwise. Single-threaded on purpose: it prices the
-/// *instruction path* of one DCAS — descriptor install + helping
-/// protocol + epoch traffic vs a single `cmpxchg16b`.
-fn pair_transfer(mcas: &HarrisMcas, paired: bool, iters: u64) -> Duration {
-    let pair = DcasPair::new(iters * 4, 0);
-    let split = SplitPair::new(iters * 4, 0);
-    let (w_lo, w_hi) = if paired { (pair.lo(), pair.hi()) } else { (split.a(), split.b()) };
-    let start = Instant::now();
-    let (mut lo, mut hi) = (iters * 4, 0u64);
-    for _ in 0..iters {
-        assert!(mcas.dcas(w_lo, w_hi, lo, hi, lo - 4, hi + 4));
-        lo -= 4;
-        hi += 4;
-    }
-    let elapsed = start.elapsed();
-    assert_eq!((mcas.load(w_lo), mcas.load(w_hi)), (0, iters * 4));
-    elapsed
-}
-
-/// Phase 2 driver: `threads` threads, each incrementing its own counter
+/// Phase 1 driver: `threads` threads, each incrementing its own counter
 /// `incs` times; the two arms differ only in whether neighbouring
 /// counters share a cache line.
 fn counter_storm(padded: bool, threads: usize, incs: u64) -> Duration {
@@ -137,7 +108,7 @@ fn spawn_tree(w: &WorkerHandle<'_, DynDeque>, depth: u32, leaves: Arc<AtomicU64>
     w.spawn(move |w| spawn_tree(w, depth - 1, r));
 }
 
-/// Phase 3 driver: fork-join spawn tree (identical to E11's so the rows
+/// Phase 2 driver: fork-join spawn tree (identical to E11's so the rows
 /// are directly comparable).
 fn fork_join<D: WorkDeque>(workers: usize, depth: u32) -> Duration {
     let leaves = Arc::new(AtomicU64::new(0));
@@ -153,7 +124,6 @@ fn fork_join<D: WorkDeque>(workers: usize, depth: u32) -> Duration {
 fn main() {
     let smoke = std::env::var_os("E12_SMOKE").is_some();
     let repeats: usize = if smoke { 1 } else { 7 };
-    let pair_iters: u64 = if smoke { 20_000 } else { 500_000 };
     let pad_incs: u64 = if smoke { 50_000 } else { 1_000_000 };
     let pad_threads = 4usize;
     let fj_depth: u32 = if smoke { 7 } else { 11 };
@@ -163,41 +133,9 @@ fn main() {
 
     let mut results: Vec<Measurement> = Vec::new();
 
-    // ---- Phase 1: pair DCAS, descriptor protocol vs cmpxchg16b ---------
+    // ---- Phase 1: per-thread counters, packed vs padded ----------------
     // Repeats are interleaved across arms (as in E11) so machine-wide
     // drift lands on every arm equally and cancels in the medians.
-    {
-        let descriptor = HarrisMcas::new();
-        let hw = HarrisMcas::new();
-        let mut runs: [Vec<Duration>; 2] = [Vec::new(), Vec::new()];
-        for _ in 0..repeats {
-            runs[0].push(pair_transfer(&descriptor, false, pair_iters));
-            runs[1].push(pair_transfer(&hw, true, pair_iters));
-        }
-        let base = median(runs[0].clone()).as_nanos();
-        for (arm, i) in [("descriptor", 0usize), ("hw-pair", 1)] {
-            let nanos = median(runs[i].clone()).as_nanos();
-            results.push(Measurement {
-                phase: "pair-dcas",
-                arm: arm.to_owned(),
-                threads: 1,
-                elems: pair_iters,
-                nanos,
-                speedup: base as f64 / nanos as f64,
-            });
-        }
-        #[cfg(feature = "stats")]
-        {
-            use dcas_bench::format_stats;
-            println!("{}", format_stats("pair-dcas/descriptor", &descriptor.stats()));
-            println!("{}", format_stats("pair-dcas/hw", &hw.stats()));
-            if let Some(rate) = hw.stats().pair_hit_rate() {
-                println!("pair-dcas/hw pair_hit_rate = {rate:.3}");
-            }
-        }
-    }
-
-    // ---- Phase 2: per-thread counters, packed vs padded ----------------
     {
         let mut runs: [Vec<Duration>; 2] = [Vec::new(), Vec::new()];
         for _ in 0..repeats {
@@ -218,7 +156,7 @@ fn main() {
         }
     }
 
-    // ---- Phase 3: fork-join, flat vs tiered deques ---------------------
+    // ---- Phase 2: fork-join, flat vs tiered deques ---------------------
     {
         let leaves = 1u64 << fj_depth;
         let mut runs: [Vec<Duration>; 4] = Default::default();
@@ -285,7 +223,7 @@ fn main() {
         eprintln!(
             "PERF GUARDRAIL FAILED: fork-join/tiered-chaselev at {ratio:.4}x of abp-cas \
              (floor {GUARDRAIL_FLOOR}); replay with:\n  \
-             E12_SMOKE=1 cargo bench -p dcas-bench --bench e12_hw_pair --features stats"
+             E12_SMOKE=1 cargo bench -p dcas-bench --bench e12_hw_pair"
         );
     }
 

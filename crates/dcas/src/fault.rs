@@ -572,15 +572,10 @@ mod tests {
         let handle = std::thread::spawn(move || {
             let guard = arm(&plan, 0);
             tx.send(guard.log()).unwrap();
-            // Unpaired words: this test targets the descriptor
-            // protocol's PreInstall point, which the hardware pair path
-            // bypasses.
             let s = HarrisMcas::new();
-            let u = crate::SplitPair::new(0, 4);
-            let (a, b) = (u.a(), u.b());
+            let (a, b) = (&DcasWord::new(0), &DcasWord::new(4));
             // Reaches descriptor publication, hits PreInstall, parks.
             assert!(s.dcas(a, b, 0, 4, 8, 12));
-            assert_eq!(s.stats().pair_hits, 0);
             (s.load(a), s.load(b))
         });
         let log = rx.recv().unwrap();
@@ -602,11 +597,8 @@ mod tests {
         let (log, result) = std::thread::spawn(move || {
             let guard = arm(&plan, 0);
             let log = guard.log();
-            // Unpaired words, as in `freeze_parks_until_released`: the
-            // PreInstall kill only exists on the descriptor path.
             let s = HarrisMcas::new();
-            let u = crate::SplitPair::new(0, 4);
-            let (a, b) = (u.a(), u.b());
+            let (a, b) = (&DcasWord::new(0), &DcasWord::new(4));
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 s.dcas(a, b, 0, 4, 8, 12)
             }));
@@ -614,7 +606,6 @@ mod tests {
             // and the strategy keeps working on this thread.
             assert_eq!((s.load(a), s.load(b)), (0, 4));
             assert!(s.dcas(a, b, 0, 4, 8, 12));
-            assert_eq!(s.stats().pair_hits, 0);
             (log, result.map_err(drop))
         })
         .join()

@@ -25,6 +25,13 @@
 //!   strategy, the deques in the companion crates are non-blocking
 //!   end-to-end.
 //!
+//! Every [`HarrisMcas`] DCAS runs the descriptor protocol; there is no
+//! hardware route. A 128-bit CAS could only serve two *adjacent* words,
+//! and the paper's deques never pair adjacent words: the list deque pairs
+//! a sentinel link with a node's value or link word, the array deque an
+//! index with a slot. Platforms without DCAS are served by this emulation
+//! and by the CAS-only Sundell–Tsigas deque in `dcas-deque`.
+//!
 //! Two forms of DCAS are provided, mirroring Figure 1 of the paper:
 //! [`DcasStrategy::dcas`] returns only a success flag, while
 //! [`DcasStrategy::dcas_strong`] additionally stores an **atomic view** of
@@ -70,7 +77,6 @@ pub mod elimination;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 mod global_lock;
-pub mod hw;
 mod mcas;
 mod pool;
 pub mod reclaim;
@@ -102,7 +108,6 @@ pub use elimination::{EliminationArray, EndConfig};
 #[cfg(feature = "fault-inject")]
 pub use fault::{FaultInjecting, FaultLog, FaultPlan, FaultPoint, Kill, KillKind, StallGate};
 pub use global_lock::GlobalLock;
-pub use hw::{DcasPair, SplitPair};
 pub use mcas::{HarrisMcas, HarrisMcasHazard};
 pub use pool::{live_descriptors, orphan_count};
 pub use reclaim::hazard::HazardReclaimer;

@@ -50,15 +50,6 @@
 //! goes straight back to the freelist with no grace period. Helpers —
 //! and the second entry, installed after publication — always use RDCSS.
 //!
-//! # Hardware pair routing
-//!
-//! A `dcas`/`dcas_strong` whose two targets share one naturally aligned
-//! 16-byte slot (a [`DcasPair`](crate::DcasPair)) runs as a single
-//! 128-bit CAS when the CPU has one ([`hw`](crate::hw)). The choice
-//! depends only on the platform and the addresses; every other call —
-//! CASN, unpaired words, hosts without the instruction — takes the
-//! descriptor protocol.
-//!
 //! # Contention management
 //!
 //! Retry loops — helping chains in [`HarrisMcas::load`]-style reads, CAS
@@ -111,7 +102,6 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 use crate::backoff::Backoff;
 use crate::fault_point;
-use crate::hw;
 use crate::pool;
 use crate::reclaim::hazard::HazardReclaimer;
 use crate::reclaim::{EpochReclaimer, ReclaimGuard, Reclaimer, EXPAND_DESC, EXPAND_ENTRY};
@@ -636,78 +626,6 @@ impl<R: Reclaimer> HarrisMcas<R> {
         }
     }
 
-    /// Hardware fast path shared by `dcas` and `dcas_strong`: both
-    /// target words live in one 16-byte slot, so the whole DCAS is one
-    /// 128-bit CAS. Returns `Ok` on success and the **atomic** plain
-    /// snapshot of the slot on failure.
-    ///
-    /// A failed 128-bit CAS that observed a descriptor tag in either
-    /// half must *not* report DCAS failure — the logical values might
-    /// still match once that operation resolves. Help it (keeping the
-    /// emulation's lock-freedom: the operation in the way is driven
-    /// forward) and retry; only a tag-free mismatch is a legal failure
-    /// linearization, and the instruction's own atomic read of the slot
-    /// is the certified view the strong form hands back.
-    ///
-    /// `a1`/`a2` are the two words backing `slot` (either order): the
-    /// CAS itself runs unguarded, so its failure snapshot is good for
-    /// tag *detection* only, never for dereferencing — by the time this
-    /// thread pins, the owner may have resolved and retired the
-    /// descriptor. The contended branch therefore pins first and helps
-    /// only values re-read from the words under that guard, which is
-    /// what `help_tagged`'s reclamation contract requires.
-    #[cfg(target_arch = "x86_64")]
-    fn pair_hw(
-        &self,
-        slot: *mut u128,
-        a1: &DcasWord,
-        a2: &DcasWord,
-        old: u128,
-        new: u128,
-    ) -> Result<(), u128> {
-        let mut backoff = Backoff::new();
-        loop {
-            // SAFETY: `slot` came from the adjacency probe (16-byte
-            // aligned, backed by `a1` and `a2`, which are live) and the
-            // caller checked `hw::supported()`.
-            match unsafe { hw::cas_u128(slot, old, new) } {
-                Ok(()) => return Ok(()),
-                Err(seen) => {
-                    let (s_lo, s_hi) = hw::unpack(seen);
-                    if s_lo & TAG_MASK == 0 && s_hi & TAG_MASK == 0 {
-                        // Plain payload mismatch: a legal failed-DCAS
-                        // linearization point. No descriptor was (or will
-                        // be) dereferenced, so the whole uncontended call
-                        // — succeed or fail — runs without a reclamation
-                        // guard; that guard costs more than the
-                        // `cmpxchg16b` itself and would erase most of the
-                        // fast path's advantage.
-                        return Err(seen);
-                    }
-                    // A descriptor is in flight on one of the halves.
-                    // Failing here would break linearizability (the
-                    // DCAS may be mid-flight and succeed), so help it
-                    // to completion and retry. Pin *before* re-reading:
-                    // the stale `seen` halves must not be dereferenced
-                    // (see the doc comment above).
-                    let g = R::pin();
-                    let f1 = a1.raw_load(Ordering::SeqCst);
-                    let f2 = a2.raw_load(Ordering::SeqCst);
-                    // SAFETY: guarded; `f1`/`f2` read under the guard.
-                    // (The tags the failed CAS saw may be gone by now —
-                    // fine, `help_tagged` ignores plain values and the
-                    // loop just retries.)
-                    unsafe {
-                        self.help_tagged(&g, a1, f1, 0);
-                        self.help_tagged(&g, a2, f2, 0);
-                    }
-                    drop(g);
-                    backoff.snooze();
-                }
-            }
-        }
-    }
-
     /// The descriptor slow path shared by `dcas` and the `dcas_strong`
     /// snapshot: acquires a descriptor, runs both CASN phases, retires
     /// it. No preliminary mismatch check — callers have already read the
@@ -937,23 +855,6 @@ impl<R: Reclaimer> DcasStrategy for HarrisMcas<R> {
         validate_args(a1, a2, &[o1, o2, n1, n2]);
         self.counters.inc_op();
         self.counters.inc_dcas();
-        #[cfg(target_arch = "x86_64")]
-        if hw::supported() {
-            if let Some((slot, swapped)) = hw::adjacent_pair(a1, a2) {
-                self.counters.inc_pair_hit();
-                let (old, new) = if swapped {
-                    (hw::pack(o2, o1), hw::pack(n2, n1))
-                } else {
-                    (hw::pack(o1, o2), hw::pack(n1, n2))
-                };
-                let ok = self.pair_hw(slot, a1, a2, old, new).is_ok();
-                if !ok {
-                    self.counters.inc_dcas_failure();
-                }
-                return ok;
-            }
-        }
-        self.counters.inc_pair_fallback();
         let ok = self.dcas_inner(a1, a2, o1, o2, n1, n2);
         if !ok {
             self.counters.inc_dcas_failure();
@@ -984,30 +885,6 @@ impl<R: Reclaimer> DcasStrategy for HarrisMcas<R> {
         // steady state.
         self.counters.inc_op();
         self.counters.inc_dcas();
-        #[cfg(target_arch = "x86_64")]
-        if hw::supported() {
-            if let Some((slot, swapped)) = hw::adjacent_pair(a1, a2) {
-                self.counters.inc_pair_hit();
-                let (old, new) = if swapped {
-                    (hw::pack(*o2, *o1), hw::pack(n2, n1))
-                } else {
-                    (hw::pack(*o1, *o2), hw::pack(n1, n2))
-                };
-                return match self.pair_hw(slot, a1, a2, old, new) {
-                    Ok(()) => true,
-                    Err(seen) => {
-                        // The failed 128-bit CAS read the slot atomically
-                        // and `pair_hw` already resolved any descriptor
-                        // tags, so this *is* the certified snapshot.
-                        let (s_lo, s_hi) = hw::unpack(seen);
-                        (*o1, *o2) = if swapped { (s_hi, s_lo) } else { (s_lo, s_hi) };
-                        self.counters.inc_dcas_failure();
-                        false
-                    }
-                };
-            }
-        }
-        self.counters.inc_pair_fallback();
         let mut backoff = Backoff::new();
         loop {
             if self.dcas_inner(a1, a2, *o1, *o2, n1, n2) {
@@ -1102,42 +979,31 @@ mod tests {
         assert_eq!((s.load(&a), s.load(&b)), (8, 12));
     }
 
-    /// Runs `f` over both word layouts a DCAS can meet: one 16-byte
-    /// pair slot (the hardware path, where the CPU has one) and adjacent
-    /// words straddling a slot boundary (always the descriptor path).
-    fn for_each_layout(mut f: impl FnMut(&str, &DcasWord, &DcasWord)) {
-        let p = crate::DcasPair::new(0, 4);
-        f("pair slot", p.lo(), p.hi());
-        let u = crate::SplitPair::new(0, 4);
-        f("unpaired", u.a(), u.b());
-    }
-
-    fn basic_semantics_all_layouts<R: Reclaimer>() {
+    fn basic_semantics<R: Reclaimer>() {
         let s = HarrisMcas::<R>::default();
-        for_each_layout(|layout, a, b| {
-            assert!(s.dcas(a, b, 0, 4, 8, 12), "{layout}");
-            assert_eq!((s.load(a), s.load(b)), (8, 12), "{layout}");
-            assert!(!s.dcas(a, b, 0, 4, 16, 16), "{layout}");
-            assert_eq!((s.load(a), s.load(b)), (8, 12), "{layout}");
-            // Swapped argument order names the same two words.
-            assert!(s.dcas(b, a, 12, 8, 4, 0), "{layout}");
-            assert_eq!((s.load(a), s.load(b)), (0, 4), "{layout}");
-            // Strong form: failure hands back the atomic snapshot.
-            let (mut o1, mut o2) = (8, 8);
-            assert!(!s.dcas_strong(a, b, &mut o1, &mut o2, 16, 16), "{layout}");
-            assert_eq!((o1, o2), (0, 4), "{layout}");
-            let (mut ob, mut oa) = (4, 0);
-            assert!(s.dcas_strong(b, a, &mut ob, &mut oa, 12, 8), "{layout}");
-            assert_eq!((s.load(a), s.load(b)), (8, 12), "{layout}");
-        });
+        let (a, b) = (&DcasWord::new(0), &DcasWord::new(4));
+        assert!(s.dcas(a, b, 0, 4, 8, 12));
+        assert_eq!((s.load(a), s.load(b)), (8, 12));
+        assert!(!s.dcas(a, b, 0, 4, 16, 16));
+        assert_eq!((s.load(a), s.load(b)), (8, 12));
+        // Swapped argument order names the same two words.
+        assert!(s.dcas(b, a, 12, 8, 4, 0));
+        assert_eq!((s.load(a), s.load(b)), (0, 4));
+        // Strong form: failure hands back the atomic snapshot.
+        let (mut o1, mut o2) = (8, 8);
+        assert!(!s.dcas_strong(a, b, &mut o1, &mut o2, 16, 16));
+        assert_eq!((o1, o2), (0, 4));
+        let (mut ob, mut oa) = (4, 0);
+        assert!(s.dcas_strong(b, a, &mut ob, &mut oa, 12, 8));
+        assert_eq!((s.load(a), s.load(b)), (8, 12));
     }
 
     #[test]
     fn basic_success_and_failure_all_configs() {
-        // {pair slot, unpaired words} x {epoch, hazard}: every routing
-        // the strategy can take must implement the same DCAS semantics.
-        basic_semantics_all_layouts::<EpochReclaimer>();
-        basic_semantics_all_layouts::<HazardReclaimer>();
+        // Both reclamation backends must implement the same DCAS
+        // semantics.
+        basic_semantics::<EpochReclaimer>();
+        basic_semantics::<HazardReclaimer>();
     }
 
     #[test]
@@ -1265,34 +1131,21 @@ mod tests {
         EpochReclaimer::flush();
     }
 
-    fn race_dcas_against_descriptor_casn<R: Reclaimer>(paired: bool) {
+    fn race_dcas_against_descriptor_casn<R: Reclaimer>() {
         // The mix `crates/modelcheck` explores exhaustively, run on real
-        // silicon: DCAS over two words (a pair slot, so the hardware
-        // path where the CPU has one, or unpaired words on the
-        // descriptor path) racing descriptor-based CASN over the same
-        // two words plus a third, which keeps the CASN on the descriptor
-        // path. A torn update, or a spurious pair-CAS failure against an
-        // in-flight descriptor, would break conservation or wedge a
-        // transfer loop.
+        // silicon: DCAS over two words racing CASN over the same two
+        // words plus a third. A torn update would break conservation or
+        // wedge a transfer loop.
         struct Cell {
-            pair: crate::DcasPair,
-            split: crate::SplitPair,
+            w1: DcasWord,
+            w2: DcasWord,
             extra: DcasWord,
-        }
-        impl Cell {
-            fn words(&self, paired: bool) -> (&DcasWord, &DcasWord) {
-                if paired {
-                    (self.pair.lo(), self.pair.hi())
-                } else {
-                    (self.split.a(), self.split.b())
-                }
-            }
         }
         const START: u64 = 1 << 20;
         let total = START * 3;
         let cell = Arc::new(Cell {
-            pair: crate::DcasPair::new(START, START),
-            split: crate::SplitPair::new(START, START),
+            w1: DcasWord::new(START),
+            w2: DcasWord::new(START),
             extra: DcasWord::new(START),
         });
         let s = Arc::new(HarrisMcas::<R>::default());
@@ -1300,7 +1153,7 @@ mod tests {
         for t in 0..2u64 {
             let (s, cell) = (s.clone(), cell.clone());
             handles.push(std::thread::spawn(move || {
-                let (w1, w2) = cell.words(paired);
+                let (w1, w2) = (&cell.w1, &cell.w2);
                 for i in 0..30_000u64 {
                     loop {
                         let v1 = s.load(w1);
@@ -1319,7 +1172,7 @@ mod tests {
         for t in 0..2u64 {
             let (s, cell) = (s.clone(), cell.clone());
             handles.push(std::thread::spawn(move || {
-                let (w1, w2) = cell.words(paired);
+                let (w1, w2) = (&cell.w1, &cell.w2);
                 for i in 0..30_000u64 {
                     loop {
                         let v1 = s.load(w1);
@@ -1344,19 +1197,13 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let (w1, w2) = cell.words(paired);
-        let sum = s.load(w1) + s.load(w2) + s.load(&cell.extra);
+        let sum = s.load(&cell.w1) + s.load(&cell.w2) + s.load(&cell.extra);
         assert_eq!(sum, total);
     }
 
     #[test]
-    fn pair_fast_path_races_descriptor_casn_conserving_sum() {
-        race_dcas_against_descriptor_casn::<EpochReclaimer>(true);
-    }
-
-    #[test]
-    fn unpaired_dcas_races_descriptor_casn_conserving_sum() {
-        race_dcas_against_descriptor_casn::<EpochReclaimer>(false);
+    fn dcas_races_descriptor_casn_conserving_sum() {
+        race_dcas_against_descriptor_casn::<EpochReclaimer>();
     }
 
     #[test]
@@ -1393,18 +1240,10 @@ mod tests {
     }
 
     #[test]
-    fn reclaim_hazard_mcas_race_pair_vs_casn() {
-        // The pair fast path's contended branch under the hazard
-        // backend: helps only values re-read under a fresh guard, with
-        // announce-and-validate instead of an epoch pin.
-        race_dcas_against_descriptor_casn::<HazardReclaimer>(true);
-    }
-
-    #[test]
-    fn reclaim_hazard_mcas_race_unpaired_vs_casn() {
-        // The same race with both DCAS words off the pair slot: DCAS and
-        // CASN descriptors help each other under announce-and-validate.
-        race_dcas_against_descriptor_casn::<HazardReclaimer>(false);
+    fn reclaim_hazard_mcas_race_dcas_vs_casn() {
+        // The same race under the hazard backend: DCAS and CASN
+        // descriptors help each other under announce-and-validate.
+        race_dcas_against_descriptor_casn::<HazardReclaimer>();
     }
 
     #[test]
@@ -1423,37 +1262,14 @@ mod tests {
         assert!(live <= bound, "hazard live garbage {live} exceeds static bound {bound}");
     }
 
-    #[cfg(all(feature = "stats", target_arch = "x86_64"))]
-    #[test]
-    fn stats_count_pair_hits_and_fallbacks() {
-        if !hw::supported() {
-            return;
-        }
-        let s = HarrisMcas::new();
-        let p = crate::DcasPair::new(0, 4);
-        let u = crate::SplitPair::new(0, 4);
-        assert!(s.dcas(p.lo(), p.hi(), 0, 4, 8, 12)); // one slot: hit
-        assert!(s.dcas(u.a(), u.b(), 0, 4, 8, 12)); // straddles: fallback
-        let st = s.stats();
-        assert_eq!(st.pair_hits, 1);
-        assert_eq!(st.pair_fallbacks, 1);
-        assert_eq!(st.pair_hit_rate(), Some(0.5));
-        // The hit never touched the descriptor pool (the fallback took
-        // exactly one descriptor — freshly boxed or recycled from the
-        // process-wide reserve, depending on sibling tests).
-        assert_eq!(st.descriptor_allocs + st.descriptor_reuses, 1);
-    }
-
     #[cfg(feature = "stats")]
     #[test]
     fn stats_count_ops_and_failures() {
-        // Unpaired words: the test asserts descriptor-pool behaviour.
         let s = HarrisMcas::new();
-        let u = crate::SplitPair::new(0, 4);
-        assert!(s.dcas(u.a(), u.b(), 0, 4, 8, 12));
-        assert!(!s.dcas(u.a(), u.b(), 0, 4, 16, 16));
+        let (a, b) = (DcasWord::new(0), DcasWord::new(4));
+        assert!(s.dcas(&a, &b, 0, 4, 8, 12));
+        assert!(!s.dcas(&a, &b, 0, 4, 16, 16));
         let st = s.stats();
-        assert_eq!(st.pair_hits, 0);
         assert_eq!(st.dcas_ops, 2);
         assert_eq!(st.dcas_failures, 1);
         assert_eq!(st.ops, 2);

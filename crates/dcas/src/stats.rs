@@ -19,7 +19,7 @@
 //! therefore split into [`COUNTER_STRIPES`] cache-line-padded lines;
 //! each thread hashes to one line and all its increments stay there, so
 //! threads on different stripes never share a counter cache line.
-//! [`Counters::snapshot`] sums across stripes. One line (twelve `u64`s)
+//! [`Counters::snapshot`] sums across stripes. One line (ten `u64`s)
 //! fits a single 128-byte padded slot, so the whole block is
 //! `COUNTER_STRIPES` lines regardless of how many counters exist.
 
@@ -42,13 +42,16 @@ pub struct StrategyStats {
     pub dcas_ops: u64,
     /// `dcas`/`dcas_strong` invocations that returned `false`.
     pub dcas_failures: u64,
-    /// `dcas`/`dcas_strong` invocations whose two targets shared one
-    /// 16-byte [`DcasPair`](crate::DcasPair) slot and were served by the
-    /// single-instruction hardware path (see [`hw`](crate::hw)).
+    /// Always 0. Counted DCASes served by a hardware 128-bit pair CAS,
+    /// a route retired because none of the paper's DCAS pairs are
+    /// adjacent words (it served 0 DCASes on every repository-benchmark
+    /// workload). Kept only because the repository benchmark's fixed
+    /// `dcas.pair_hit_rate` key is computed from this field and
+    /// [`pair_fallbacks`](Self::pair_fallbacks).
     pub pair_hits: u64,
-    /// `dcas`/`dcas_strong` invocations that took the descriptor
-    /// protocol instead: targets not in one slot, or hardware DCAS
-    /// unsupported.
+    /// Always 0, for the same reason as [`pair_hits`](Self::pair_hits):
+    /// every DCAS takes the descriptor protocol, so there is no pair
+    /// route to fall back from.
     pub pair_fallbacks: u64,
     /// Times this strategy helped another thread's in-flight operation
     /// (RDCSS completion or CASN help on a foreign descriptor).
@@ -135,25 +138,16 @@ impl StrategyStats {
         (total != 0).then(|| self.elim_hits as f64 / total as f64)
     }
 
-    /// Fraction of `dcas`/`dcas_strong` invocations served by the
-    /// single-instruction hardware pair path, in `[0, 1]`; `None` when
-    /// no DCAS ran (or stats are off).
-    pub fn pair_hit_rate(&self) -> Option<f64> {
-        let total = self.pair_hits + self.pair_fallbacks;
-        (total != 0).then(|| self.pair_hits as f64 / total as f64)
-    }
-
     /// Name/value pairs for every counter, in declaration order — the
     /// stable iteration surface for exporters (e.g. `crates/obs`'
     /// metrics registry), so adding a counter here automatically reaches
-    /// every report format.
-    pub fn fields(&self) -> [(&'static str, u64); 20] {
+    /// every report format. The always-zero `pair_hits`/`pair_fallbacks`
+    /// are left out.
+    pub fn fields(&self) -> [(&'static str, u64); 18] {
         [
             ("ops", self.ops),
             ("dcas_ops", self.dcas_ops),
             ("dcas_failures", self.dcas_failures),
-            ("pair_hits", self.pair_hits),
-            ("pair_fallbacks", self.pair_fallbacks),
             ("helps", self.helps),
             ("descriptor_reuses", self.descriptor_reuses),
             ("descriptor_allocs", self.descriptor_allocs),
@@ -183,8 +177,8 @@ impl StrategyStats {
             ops: self.ops - earlier.ops,
             dcas_ops: self.dcas_ops - earlier.dcas_ops,
             dcas_failures: self.dcas_failures - earlier.dcas_failures,
-            pair_hits: self.pair_hits - earlier.pair_hits,
-            pair_fallbacks: self.pair_fallbacks - earlier.pair_fallbacks,
+            pair_hits: 0,
+            pair_fallbacks: 0,
             helps: self.helps - earlier.helps,
             descriptor_reuses: self.descriptor_reuses - earlier.descriptor_reuses,
             descriptor_allocs: self.descriptor_allocs - earlier.descriptor_allocs,
@@ -217,7 +211,7 @@ impl StrategyStats {
 #[cfg(feature = "stats")]
 const COUNTER_STRIPES: usize = 8;
 
-/// One stripe's worth of counters: twelve adjacent `u64`s, deliberately
+/// One stripe's worth of counters: ten adjacent `u64`s, deliberately
 /// *within* a single padded line — only threads hashed to the same
 /// stripe share it.
 #[cfg(feature = "stats")]
@@ -226,8 +220,6 @@ struct CounterLine {
     ops: AtomicU64,
     dcas_ops: AtomicU64,
     dcas_failures: AtomicU64,
-    pair_hits: AtomicU64,
-    pair_fallbacks: AtomicU64,
     helps: AtomicU64,
     descriptor_reuses: AtomicU64,
     descriptor_allocs: AtomicU64,
@@ -278,10 +270,6 @@ impl Counters {
         inc_dcas => dcas_ops;
         /// One failed `dcas`/`dcas_strong`.
         inc_dcas_failure => dcas_failures;
-        /// One `dcas`/`dcas_strong` served by the hardware pair path.
-        inc_pair_hit => pair_hits;
-        /// One `dcas`/`dcas_strong` that took the descriptor protocol.
-        inc_pair_fallback => pair_fallbacks;
         /// Helped a foreign in-flight operation.
         inc_help => helps;
         /// Descriptor served from the pool freelist.
@@ -308,8 +296,6 @@ impl Counters {
                 s.ops += line.ops.load(Ordering::Relaxed);
                 s.dcas_ops += line.dcas_ops.load(Ordering::Relaxed);
                 s.dcas_failures += line.dcas_failures.load(Ordering::Relaxed);
-                s.pair_hits += line.pair_hits.load(Ordering::Relaxed);
-                s.pair_fallbacks += line.pair_fallbacks.load(Ordering::Relaxed);
                 s.helps += line.helps.load(Ordering::Relaxed);
                 s.descriptor_reuses += line.descriptor_reuses.load(Ordering::Relaxed);
                 s.descriptor_allocs += line.descriptor_allocs.load(Ordering::Relaxed);
@@ -396,12 +382,5 @@ mod tests {
             std::mem::size_of::<Counters>(),
             COUNTER_STRIPES * std::mem::size_of::<CachePadded<CounterLine>>()
         );
-    }
-
-    #[test]
-    fn pair_hit_rate_math() {
-        let s = StrategyStats { pair_hits: 3, pair_fallbacks: 1, ..Default::default() };
-        assert_eq!(s.pair_hit_rate(), Some(0.75));
-        assert_eq!(StrategyStats::default().pair_hit_rate(), None);
     }
 }

@@ -7,7 +7,7 @@
 //! acquisition shows up here as a nonzero `descriptor_allocs` delta.
 #![cfg(feature = "stats")]
 
-use dcas::{DcasStrategy, DcasWord, EpochReclaimer, HarrisMcas, Reclaimer, SplitPair};
+use dcas::{DcasStrategy, DcasWord, EpochReclaimer, HarrisMcas, Reclaimer};
 
 /// Primes the pool: runs `ops` successful DCASes (building inventory via
 /// fallback allocations), then flushes the epoch collector so every
@@ -26,11 +26,8 @@ fn warmup(s: &HarrisMcas, a: &DcasWord, b: &DcasWord, x: &mut u64, ops: u64) {
 
 #[test]
 fn steady_state_dcas_is_allocation_free() {
-    // Unpaired words: this test measures the *descriptor* hot path,
-    // which the hardware pair path would bypass entirely.
     let s = HarrisMcas::new();
-    let u = SplitPair::new(0, 4);
-    let (a, b) = (u.a(), u.b());
+    let (a, b) = (&DcasWord::new(0), &DcasWord::new(4));
     let mut x = 0u64;
 
     warmup(&s, a, b, &mut x, 1_000);
@@ -43,7 +40,6 @@ fn steady_state_dcas_is_allocation_free() {
     }
     let delta = s.stats().since(&before);
 
-    assert_eq!(s.stats().pair_hits, 0);
     assert_eq!(delta.dcas_ops, STEADY_OPS);
     assert_eq!(
         delta.descriptor_allocs, 0,
@@ -58,10 +54,8 @@ fn steady_state_dcas_is_allocation_free() {
 fn steady_state_dcas_strong_failure_path_is_allocation_free() {
     // The strong form's failure path certifies an atomic view with an
     // identity DCAS; that descriptor must come from the pool too.
-    // (Unpaired words for the same reason as above.)
     let s = HarrisMcas::new();
-    let u = SplitPair::new(0, 4);
-    let (a, b) = (u.a(), u.b());
+    let (a, b) = (&DcasWord::new(0), &DcasWord::new(4));
     let mut x = 0u64;
 
     warmup(&s, a, b, &mut x, 1_000);
@@ -77,7 +71,6 @@ fn steady_state_dcas_strong_failure_path_is_allocation_free() {
     }
     let delta = s.stats().since(&before);
 
-    assert_eq!(s.stats().pair_hits, 0);
     assert_eq!(
         delta.descriptor_allocs, 0,
         "dcas_strong failure path must not allocate (reuse={}, allocs={})",
@@ -95,8 +88,7 @@ fn reclaim_hazard_steady_state_dcas_is_allocation_free() {
     // hazard covers it.
     use dcas::{HarrisMcasHazard, HazardReclaimer};
     let s = HarrisMcasHazard::default();
-    let u = SplitPair::new(0, 4);
-    let (a, b) = (u.a(), u.b());
+    let (a, b) = (&DcasWord::new(0), &DcasWord::new(4));
     let mut x = 0u64;
     for _ in 0..1_000 {
         assert!(s.dcas(a, b, x, x + 4, x + 8, x + 12));
@@ -112,7 +104,6 @@ fn reclaim_hazard_steady_state_dcas_is_allocation_free() {
     }
     let delta = s.stats().since(&before);
 
-    assert_eq!(s.stats().pair_hits, 0);
     assert_eq!(delta.dcas_ops, STEADY_OPS);
     assert_eq!(
         delta.descriptor_allocs, 0,

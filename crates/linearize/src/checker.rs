@@ -14,9 +14,54 @@
 //! linearizability*, 2017).
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::history::Completed;
 use crate::spec::SeqDeque;
+
+/// Search nodes between two publications of the running counts: often
+/// enough for a watchdog to see a stalled search grow, rare enough that
+/// the stores cost nothing next to the search itself.
+const PUBLISH_EVERY: u64 = 1024;
+
+/// The size of one [`linearization_final_states_observed`] search,
+/// published while it runs so another thread (a test watchdog) can tell
+/// a slow window from a wedged workload and see how far it has got.
+#[derive(Debug, Default)]
+pub struct SearchProgress {
+    start_states: AtomicU64,
+    nodes: AtomicU64,
+    memo_entries: AtomicU64,
+}
+
+/// A snapshot of a [`SearchProgress`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchCounts {
+    /// Abstract states carried into the window; the search runs once
+    /// from each.
+    pub start_states: u64,
+    /// Search nodes visited: (linearized set, state) pairs pushed on the
+    /// depth-first stack, the start states included.
+    pub nodes: u64,
+    /// Entries in the memo table shared by all start states.
+    pub memo_entries: u64,
+}
+
+impl SearchProgress {
+    /// The counts last published (exact once the search has returned).
+    pub fn counts(&self) -> SearchCounts {
+        SearchCounts {
+            start_states: self.start_states.load(Ordering::Relaxed),
+            nodes: self.nodes.load(Ordering::Relaxed),
+            memo_entries: self.memo_entries.load(Ordering::Relaxed),
+        }
+    }
+
+    fn publish(&self, nodes: u64, memo_entries: usize) {
+        self.nodes.store(nodes, Ordering::Relaxed);
+        self.memo_entries.store(memo_entries as u64, Ordering::Relaxed);
+    }
+}
 
 /// Result of a failed check, for diagnostics.
 #[derive(Debug)]
@@ -126,7 +171,20 @@ pub fn linearization_final_states(
     initials: &[SeqDeque],
     ops: &[Completed],
 ) -> Result<Vec<SeqDeque>, Violation> {
+    linearization_final_states_observed(initials, ops, &SearchProgress::default())
+}
+
+/// [`linearization_final_states`], publishing the search's size to
+/// `progress` as it goes: the number of start states up front, then the
+/// node and memo counts every [`PUBLISH_EVERY`] nodes and on return.
+pub fn linearization_final_states_observed(
+    initials: &[SeqDeque],
+    ops: &[Completed],
+    progress: &SearchProgress,
+) -> Result<Vec<SeqDeque>, Violation> {
     assert!(!initials.is_empty(), "need at least one initial state");
+    progress.start_states.store(initials.len() as u64, Ordering::Relaxed);
+    progress.publish(0, 0);
     if ops.len() > 64 {
         panic!("checker supports at most 64 operations per history, got {}", ops.len());
     }
@@ -146,6 +204,7 @@ pub fn linearization_final_states(
     let mut memo: HashSet<(u64, Vec<u64>)> = HashSet::new();
     let mut finals: Vec<SeqDeque> = Vec::new();
     let mut deepest: Vec<usize> = Vec::new();
+    let mut nodes = 0u64;
 
     struct Frame {
         state: SeqDeque,
@@ -155,6 +214,7 @@ pub fn linearization_final_states(
     }
 
     for initial in initials {
+        nodes += 1;
         let mut stack =
             vec![Frame { state: initial.clone(), mask: 0, next_candidate: 0, chosen: None }];
         let mut path: Vec<usize> = Vec::new();
@@ -200,6 +260,10 @@ pub fn linearization_final_states(
                 if path.len() > deepest.len() {
                     deepest = path.clone();
                 }
+                nodes += 1;
+                if nodes.is_multiple_of(PUBLISH_EVERY) {
+                    progress.publish(nodes, memo.len());
+                }
                 stack.push(Frame {
                     state: next_state,
                     mask: next_mask,
@@ -214,6 +278,7 @@ pub fn linearization_final_states(
             }
         }
     }
+    progress.publish(nodes, memo.len());
     if finals.is_empty() {
         Err(Violation { deepest_prefix: deepest })
     } else {

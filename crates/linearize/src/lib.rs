@@ -14,6 +14,8 @@
 //! * [`checker`] — a Wing & Gong linearizability checker with Lowe-style
 //!   memoization: decides whether a recorded history has *some*
 //!   linearization consistent with its real-time order.
+//! * [`dump`] — a plain-text dump of one checker window, so a window
+//!   that stalls the search can be saved and replayed as a fixture.
 //! * [`window`] — windowed checking for histories longer than the
 //!   monolithic checker's 64-op cap: splits at quiescent cuts and carries
 //!   the full set of reachable abstract states between windows, enabling
@@ -26,14 +28,19 @@
 
 pub mod checker;
 pub mod driver;
+pub mod dump;
 pub mod history;
 pub mod spec;
 pub mod window;
 
-pub use checker::{check_linearizable, linearization_final_states};
+pub use checker::{
+    check_linearizable, linearization_final_states, linearization_final_states_observed,
+    SearchCounts, SearchProgress,
+};
 pub use driver::{
     stress_and_check, stress_owner_steal, OwnerStealDeque, StressConfig, StressReport,
 };
 pub use history::{Completed, Event, EventKind, History, Recorder};
 pub use spec::{Batch, DequeOp, DequeRet, SeqDeque};
-pub use window::{check_windowed, WindowReport, WindowedChecker, WindowError};
+pub use dump::{format_window, parse_window};
+pub use window::{check_windowed, WindowProgress, WindowReport, WindowedChecker, WindowError};

@@ -125,6 +125,11 @@ impl SeqDeque {
         self.capacity.is_some_and(|c| self.items.len() == c)
     }
 
+    /// `length_S` for the bounded deque, `None` for the unbounded one.
+    pub fn capacity(&self) -> Option<usize> {
+        self.capacity
+    }
+
     /// The current abstract sequence, left to right.
     pub fn items(&self) -> impl Iterator<Item = u64> + '_ {
         self.items.iter().copied()

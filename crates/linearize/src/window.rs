@@ -22,7 +22,11 @@
 //! below `safe_ts`, the caller's bound on the earliest timestamp a
 //! not-yet-buffered invocation might carry.
 
-use crate::checker::{linearization_final_states, Violation};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+
+use crate::checker::{linearization_final_states_observed, SearchCounts, SearchProgress, Violation};
+use crate::dump::format_window;
 use crate::history::Completed;
 use crate::spec::SeqDeque;
 
@@ -80,17 +84,79 @@ pub struct WindowReport {
     pub final_states: Vec<SeqDeque>,
 }
 
+/// The window a [`WindowedChecker`] is checking, shared so that another
+/// thread (a test watchdog) can report a window that stalls the search:
+/// its index, size, search counts and a dump of its contents.
+#[derive(Debug, Default)]
+pub struct WindowProgress {
+    window: AtomicUsize,
+    window_ops: AtomicUsize,
+    searching: AtomicBool,
+    search: SearchProgress,
+    /// The window's carried start states (shared with the checker, not
+    /// copied: there can be thousands) and operations.
+    contents: Mutex<(Arc<Vec<SeqDeque>>, Vec<Completed>)>,
+}
+
+impl WindowProgress {
+    /// Zero-based index of the window being (or last) checked.
+    pub fn window(&self) -> usize {
+        self.window.load(Ordering::Relaxed)
+    }
+
+    /// Whether that window's search is still running.
+    pub fn searching(&self) -> bool {
+        self.searching.load(Ordering::Relaxed)
+    }
+
+    /// The search counts of that window.
+    pub fn counts(&self) -> SearchCounts {
+        self.search.counts()
+    }
+
+    /// A one-line summary: window index and size, and the search counts.
+    pub fn describe(&self) -> String {
+        let c = self.counts();
+        format!(
+            "window {} ({} ops, {} carried start states): {} search nodes, {} memo entries{}",
+            self.window(),
+            self.window_ops.load(Ordering::Relaxed),
+            c.start_states,
+            c.nodes,
+            c.memo_entries,
+            if self.searching() { ", still searching" } else { "" }
+        )
+    }
+
+    /// The window's start states and operations in the
+    /// [`dump`](crate::dump) format. Never blocks: `None` while the
+    /// checker is replacing the contents.
+    pub fn dump(&self) -> Option<String> {
+        let contents = self.contents.try_lock().ok()?;
+        Some(format_window(&contents.0, &contents.1))
+    }
+
+    fn begin(&self, window: usize, starts: &Arc<Vec<SeqDeque>>, ops: &[Completed]) {
+        *self.contents.lock().expect("only `begin` locks to write, and it cannot panic") =
+            (Arc::clone(starts), ops.to_vec());
+        self.window.store(window, Ordering::Relaxed);
+        self.window_ops.store(ops.len(), Ordering::Relaxed);
+        self.searching.store(true, Ordering::Relaxed);
+    }
+}
+
 /// Incremental windowed checker. Feed completed operations as they are
 /// observed; call [`advance`](WindowedChecker::advance) to check every
 /// window already closed by a quiescent cut, and
 /// [`finish`](WindowedChecker::finish) once the run is over.
 #[derive(Debug)]
 pub struct WindowedChecker {
-    states: Vec<SeqDeque>,
+    states: Arc<Vec<SeqDeque>>,
     buf: Vec<Completed>,
     max_window: usize,
     windows: usize,
     ops_checked: usize,
+    progress: Arc<WindowProgress>,
 }
 
 impl WindowedChecker {
@@ -98,13 +164,24 @@ impl WindowedChecker {
     /// at most `max_window` operations (capped at the underlying
     /// checker's limit of 64).
     pub fn new(initial: SeqDeque, max_window: usize) -> Self {
+        Self::with_progress(initial, max_window, Arc::default())
+    }
+
+    /// Like [`new`](Self::new), publishing each window's search to
+    /// `progress` as it is checked.
+    pub fn with_progress(
+        initial: SeqDeque,
+        max_window: usize,
+        progress: Arc<WindowProgress>,
+    ) -> Self {
         let max_window = max_window.clamp(1, 64);
         WindowedChecker {
-            states: vec![initial],
+            states: Arc::new(vec![initial]),
             buf: Vec::new(),
             max_window,
             windows: 0,
             ops_checked: 0,
+            progress,
         }
     }
 
@@ -163,7 +240,7 @@ impl WindowedChecker {
         Ok(WindowReport {
             windows: self.windows,
             ops_checked: self.ops_checked,
-            final_states: self.states,
+            final_states: Arc::unwrap_or_clone(self.states),
         })
     }
 
@@ -209,9 +286,13 @@ impl WindowedChecker {
 
     fn check_window(&mut self, end: usize) -> Result<(), WindowError> {
         let window: Vec<Completed> = self.buf.drain(..end).collect();
-        match linearization_final_states(&self.states, &window) {
+        self.progress.begin(self.windows, &self.states, &window);
+        let result =
+            linearization_final_states_observed(&self.states, &window, &self.progress.search);
+        self.progress.searching.store(false, Ordering::Relaxed);
+        match result {
             Ok(states) => {
-                self.states = states;
+                self.states = Arc::new(states);
                 self.windows += 1;
                 self.ops_checked += window.len();
                 Ok(())
@@ -283,6 +364,43 @@ mod tests {
         assert!(report.windows >= 2);
         assert_eq!(report.final_states.len(), 1);
         assert!(report.final_states[0].is_empty());
+    }
+
+    #[test]
+    fn progress_counts_the_search_and_dumps_the_window() {
+        use crate::checker::linearization_final_states;
+        use crate::dump::parse_window;
+        // Window 0: two concurrent pushLefts, leaving two possible
+        // states. Window 1 starts from both and resolves them.
+        let ops = [
+            op(0, 10, DequeOp::PushLeft(1), DequeRet::Okay),
+            op(1, 9, DequeOp::PushLeft(2), DequeRet::Okay),
+            op(20, 23, DequeOp::PopLeft, DequeRet::Value(2)),
+            op(21, 22, DequeOp::PushRight(3), DequeRet::Okay),
+        ];
+        let progress = Arc::new(WindowProgress::default());
+        let mut w = WindowedChecker::with_progress(SeqDeque::unbounded(), 2, progress.clone());
+        w.feed(ops.iter().copied());
+        w.finish().unwrap();
+
+        assert_eq!(progress.window(), 1);
+        assert!(!progress.searching());
+        let c = progress.counts();
+        assert_eq!(c.start_states, 2);
+        assert!(c.nodes > 0 && c.memo_entries > 0, "{c:?}");
+        assert!(progress.describe().starts_with("window 1 (2 ops, 2 carried start states)"));
+
+        let dump = progress.dump().unwrap();
+        let (starts, window) = parse_window(&dump).unwrap();
+        assert_eq!(format_window(&starts, &window), dump);
+        let mut items: Vec<Vec<u64>> = starts.iter().map(|s| s.items().collect()).collect();
+        items.sort();
+        assert_eq!(items, vec![vec![1, 2], vec![2, 1]]);
+        assert_eq!(window.len(), 2);
+        assert_eq!(window[0].invoke_ts, 20);
+        // The dumped window replays: it checks from its carried states.
+        let finals = linearization_final_states(&starts, &window).unwrap();
+        assert_eq!(finals.iter().map(|s| s.items().collect()).collect::<Vec<Vec<u64>>>(), [[1, 3]]);
     }
 
     #[test]

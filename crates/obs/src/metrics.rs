@@ -232,7 +232,6 @@ impl MetricsRegistry {
         for (name, rate) in [
             ("dcas_failure_rate", s.failure_rate()),
             ("descriptor_reuse_rate", s.reuse_rate()),
-            ("pair_hit_rate", s.pair_hit_rate()),
             ("elim_hit_rate", s.elim_hit_rate()),
         ] {
             if let Some(r) = rate {

@@ -5,17 +5,15 @@
 //! `--features obs-stats` to populate the DCAS-strategy and scheduler
 //! counter sections with live numbers instead of zeros.
 //!
-//! The report has four parts:
+//! The report covers, among other sections:
 //!
 //! 1. per-op-kind counters and latency histograms from a [`Recorded`]
 //!    array deque driven by four threads,
 //! 2. the post-hoc linearizability audit of that same trace,
 //! 3. DCAS strategy counters ([`dcas::StrategyStats`]),
-//! 4. the hardware pair-DCAS fast path: a `DcasPair` workload plus one
-//!    deliberately non-adjacent DCAS, surfacing `pair_hit_rate`,
-//! 5. work-stealing scheduler counters from small fork-join runs on the
+//! 4. work-stealing scheduler counters from small fork-join runs on the
 //!    flat and the two-level Chase-Lev tiered deque,
-//! 6. reclamation gauges: live/high-water garbage per backend (epoch vs
+//! 5. reclamation gauges: live/high-water garbage per backend (epoch vs
 //!    hazard pointers), the hazard backend's static garbage bound, and
 //!    the epoch shim's stalled-collection diagnostic. These are
 //!    snapshot-time gauges, reported with or without `obs-stats`.
@@ -47,7 +45,6 @@ fn main() {
     let deque = recorded_workload(&mut reg);
     audit_section(&deque, &mut reg);
     strategy_section(&deque, &mut reg);
-    pair_section(&mut reg);
     scheduler_section(&mut reg);
     overhead_section(&mut reg);
     reclaim_section(&mut reg);
@@ -184,33 +181,6 @@ fn audit_section(deque: &Recorded<ArrayDeque<u64>>, reg: &mut MetricsRegistry) {
 /// `dcas/stats` counters).
 fn strategy_section(deque: &Recorded<ArrayDeque<u64>>, reg: &mut MetricsRegistry) {
     reg.strategy_stats("dcas_strategy", &deque.inner().strategy().stats());
-}
-
-/// The hardware pair-DCAS fast path, exercised directly: transfers
-/// between the halves of a 16-byte [`DcasPair`] take the single
-/// `cmpxchg16b` path (pair hits), while a DCAS on two deliberately
-/// separate words falls back to the descriptor protocol (pair
-/// fallback). With `--features obs-stats` the section shows the
-/// resulting `pair_hits`/`pair_fallbacks` counters and the derived
-/// `pair_hit_rate`; on hardware without a 16-byte CAS the same
-/// workload runs on the portable seqlock fallback with identical
-/// semantics.
-fn pair_section(reg: &mut MetricsRegistry) {
-    use dcas_deques::dcas::{DcasPair, DcasStrategy, DcasWord, HarrisMcas};
-
-    let mcas = HarrisMcas::new();
-    let pair = DcasPair::new(4_000, 0);
-    let (mut lo, mut hi) = (4_000u64, 0u64);
-    for _ in 0..1_000 {
-        assert!(mcas.dcas(pair.lo(), pair.hi(), lo, hi, lo - 4, hi + 4));
-        lo -= 4;
-        hi += 4;
-    }
-    // One non-adjacent DCAS: words 16 bytes apart can never share a
-    // pair slot, so this is a guaranteed descriptor-path fallback.
-    let words = [DcasWord::new(8), DcasWord::new(0), DcasWord::new(12)];
-    assert!(mcas.dcas(&words[0], &words[2], 8, 12, 16, 20));
-    reg.strategy_stats("pair_dcas", &mcas.stats());
 }
 
 /// Reclamation gauges per backend. A short list-deque churn on the

@@ -17,6 +17,7 @@
 //! the clock — and always echoed to stderr so *any* failure, watchdog or
 //! assertion, can be replayed deterministically.
 
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -147,25 +148,27 @@ impl Drop for Watchdog {
 }
 
 impl Inner {
+    /// Writes the banner straight to the process's stderr: the monitor
+    /// thread inherits the test harness's output capture, so `eprintln!`
+    /// would buffer the banner in memory and the abort would discard it.
     fn dump_and_abort(&self) -> ! {
-        eprintln!();
-        eprintln!(
-            "==== WATCHDOG `{}`: no completion within {:?} — progress appears stalled ====",
+        let mut banner = format!(
+            "\n==== WATCHDOG `{}`: no completion within {:?} — progress appears stalled ====\n",
             self.name, self.deadline
         );
         match self.diagnostics.lock() {
             Ok(diags) => {
                 for (label, f) in diags.iter() {
-                    eprintln!("  {label}: {}", f());
+                    banner.push_str(&format!("  {label}: {}\n", f()));
                 }
             }
-            Err(_) => eprintln!("  (diagnostics poisoned)"),
+            Err(_) => banner.push_str("  (diagnostics poisoned)\n"),
         }
-        eprintln!(
-            "  replay: {}={} cargo test {}",
+        banner.push_str(&format!(
+            "  replay: {}={} cargo test {}\n==== aborting process ====\n",
             self.seed_var, self.seed, self.name
-        );
-        eprintln!("==== aborting process ====");
+        ));
+        let _ = std::io::stderr().write_all(banner.as_bytes());
         std::process::abort();
     }
 }

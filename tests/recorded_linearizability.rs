@@ -21,11 +21,15 @@
 //! replays any failure exactly (the seed is printed at the start of
 //! every test, torture-style). Runs are guarded by the shared
 //! [`Watchdog`], with the recorder tail attached: a wedged run aborts
-//! showing the last operations of every thread.
+//! showing the last operations of every thread. A stalled audit also
+//! shows the window the checker is on — its index and size, the search
+//! nodes, memo entries and carried start states so far — and writes that
+//! window's ops to a file under `target/` for replay.
 
 #![cfg(feature = "obs")]
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -33,8 +37,8 @@ use dcas_deques::deque::{
     ArrayDeque, ConcurrentDeque, DummyListDeque, LfrcListDeque, ListDeque, SundellDeque, MAX_BATCH,
 };
 use dcas_deques::harness::{trace_seed, Watchdog};
-use dcas_deques::linearize::{SeqDeque, WindowedChecker};
-use dcas_deques::obs::{audit, completed_history, BatchTracing, OnlineAuditor, Recorded};
+use dcas_deques::linearize::{SeqDeque, WindowProgress, WindowedChecker};
+use dcas_deques::obs::{completed_history, BatchTracing, OnlineAuditor, Recorded};
 
 /// Checker window cap (the monolithic checker handles ≤ 64 ops; stay
 /// under it so every round fits in one window with slack).
@@ -122,6 +126,24 @@ fn pulsed_worker<D: ConcurrentDeque<u64>>(
     }
 }
 
+/// Watchdog diagnostic for a stalled audit: the checker's current window
+/// and search size, with the window's carried start states and ops
+/// written to a file under `target/` (see `dcas_linearize::dump`).
+fn checker_diagnostic(test: &str, seed: u64, threads: usize, progress: &WindowProgress) -> String {
+    let dump = match progress.dump() {
+        None => "window dump unavailable (the checker is switching windows)".to_string(),
+        Some(text) => {
+            let path = Path::new(env!("CARGO_TARGET_TMPDIR"))
+                .join(format!("{test}-seed{seed}-x{threads}-window{}.txt", progress.window()));
+            match std::fs::write(&path, text) {
+                Ok(()) => format!("window ops written to {}", path.display()),
+                Err(e) => format!("could not write {}: {e}", path.display()),
+            }
+        }
+    };
+    format!("{test} seed {seed} x{threads}: {}\n    {dump}", progress.describe())
+}
+
 /// Runs the full {2, 4, 8}-thread matrix for one deque: pulsed recorded
 /// workload, then the post-hoc windowed audit from the empty deque.
 fn matrix<D, F, I>(test: &str, make: F, initial: I, tracing: BatchTracing, batches: bool)
@@ -132,7 +154,16 @@ where
 {
     let seed = trace_seed(test);
     let dog = Watchdog::arm_with_seed_var(test, "TRACE_SEED", seed, Duration::from_secs(120));
+    let progress = Arc::new(WindowProgress::default());
+    let at_threads = Arc::new(AtomicUsize::new(0));
+    {
+        let (test, progress, at_threads) = (test.to_string(), progress.clone(), at_threads.clone());
+        dog.diagnostic("checker", move || {
+            checker_diagnostic(&test, seed, at_threads.load(Ordering::Relaxed), &progress)
+        });
+    }
     for &threads in &[2usize, 4, 8] {
+        at_threads.store(threads, Ordering::Relaxed);
         let deque = Recorded::with_batch_tracing(make(), threads, RING_CAPACITY, tracing);
         dog.attach_recorder(deque.recorder(), 6);
         let budget = (MAX_WINDOW / threads).max(1);
@@ -146,15 +177,20 @@ where
                 });
             }
         });
-        let report = audit(deque.recorder(), initial(), MAX_WINDOW).unwrap_or_else(|e| {
-            panic!("{test} x{threads} [{}]: audit failed: {e}", deque.inner().impl_name())
-        });
+        let name = deque.inner().impl_name();
+        let (ops, trace) = completed_history(deque.recorder())
+            .unwrap_or_else(|e| panic!("{test} x{threads} [{name}]: audit failed: {e}"));
+        let mut checker = WindowedChecker::with_progress(initial(), MAX_WINDOW, progress.clone());
+        checker.feed(ops);
+        let report = checker
+            .finish()
+            .unwrap_or_else(|e| panic!("{test} x{threads} [{name}]: audit failed: {e}"));
         assert!(
-            report.window.ops_checked >= threads * ROUNDS,
+            report.ops_checked >= threads * ROUNDS,
             "{test} x{threads}: only {} ops recorded",
-            report.window.ops_checked
+            report.ops_checked
         );
-        assert_eq!(report.trace.in_flight_excluded, 0, "{test} x{threads}: ops left in flight");
+        assert_eq!(trace.in_flight_excluded, 0, "{test} x{threads}: ops left in flight");
     }
     dog.disarm();
 }

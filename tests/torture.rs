@@ -768,9 +768,6 @@ fn tiered_scheduler_survives_mid_spill_kill() {
 // ---------------------------------------------------------------------
 
 /// The fault-injecting strategy over the hazard-pointer-reclaimed MCAS.
-/// Words that share a 16-byte slot take the hardware-pair fast path
-/// wherever the CPU has it, so these runs also exercise that path under
-/// the hazard backend.
 type FisH = FaultInjecting<dcas::HarrisMcasHazard>;
 
 #[test]
